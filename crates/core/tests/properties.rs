@@ -1,6 +1,9 @@
 //! Property-based tests of the JTP core invariants.
 
-use jtp::packet::{compress_ranges, expand_ranges, AckPacket, DataPacket, SeqRange};
+use jtp::packet::{
+    compress_ranges, expand_ranges, AckPacket, CodecError, DataPacket, PacketType, SeqRange,
+    ACK_FIXED_BYTES, ACK_PACKET_BYTES, DATA_HEADER_BYTES, JTP_VERSION,
+};
 use jtp::reliability::{
     achieved_success, max_attempts_for, per_hop_success_target, update_loss_tolerance,
 };
@@ -88,13 +91,53 @@ proptest! {
             timeout: SimDuration::from_micros(timeout_us),
         };
         let bytes = ack.to_bytes();
-        prop_assert_eq!(bytes.len(), jtp::packet::ACK_PACKET_BYTES);
+        prop_assert_eq!(bytes.len(), ACK_PACKET_BYTES);
         let back = AckPacket::decode(&bytes).unwrap();
         if ack.snack.len() + ack.locally_recovered.len() <= jtp::packet::MAX_ACK_RANGES {
             prop_assert_eq!(back, ack);
         } else {
             // Truncation keeps a prefix, SNACK first.
             prop_assert!(back.snack.len() <= ack.snack.len());
+        }
+    }
+
+    /// Both decoders are total over arbitrary bytes: every input comes
+    /// back as `Ok` or a `CodecError`, never a panic, and every input
+    /// shorter than a decoder's fixed part is `Truncated`. Half the cases
+    /// carry a valid version + type prefix (and, for ACKs, small range
+    /// counts) so decoding reaches the fields behind the discriminator.
+    #[test]
+    fn decoders_total_on_arbitrary_bytes(
+        raw in proptest::collection::vec(any::<u8>(), 0..ACK_PACKET_BYTES + 17),
+        valid_prefix in any::<bool>(),
+    ) {
+        let mut data = raw.clone();
+        let mut ack = raw;
+        if valid_prefix {
+            for (buf, ty) in [(&mut data, PacketType::Data), (&mut ack, PacketType::Ack)] {
+                if let Some(b) = buf.get_mut(0) {
+                    *b = JTP_VERSION;
+                }
+                if let Some(b) = buf.get_mut(1) {
+                    *b = ty as u8;
+                }
+            }
+            // The SNACK and recovered range counts sit at bytes 24 and 25.
+            for i in [24, 25] {
+                if let Some(b) = ack.get_mut(i) {
+                    *b %= 12;
+                }
+            }
+        }
+        // The data decoder's fixed part is the header plus the u16
+        // payload-length field.
+        let d = DataPacket::decode(&data);
+        if data.len() < DATA_HEADER_BYTES + 2 {
+            prop_assert_eq!(d, Err(CodecError::Truncated));
+        }
+        let a = AckPacket::decode(&ack);
+        if ack.len() < ACK_FIXED_BYTES {
+            prop_assert_eq!(a, Err(CodecError::Truncated));
         }
     }
 

@@ -3,8 +3,8 @@
 //! wall-clock-bounded end-to-end smoke run (release-only; CI's
 //! `xl-smoke` job executes it with `--ignored`).
 //!
-//! The exact backend's byte-identity across the routing refactor and
-//! worker counts is pinned elsewhere (`golden_traces.rs`,
+//! The exact backend's byte-identity across the routing refactor is
+//! pinned elsewhere (`golden_traces.rs`,
 //! `engine_equivalence.rs`) on the historical catalog; this file owns
 //! what is *new* at xl scale.
 

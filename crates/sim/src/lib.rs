@@ -21,10 +21,9 @@
 //! reproduction harness must be exactly repeatable, and there is no real I/O
 //! to overlap. The style follows smoltcp's event-driven, poll-based idiom.
 //!
-//! The one sanctioned form of intra-run parallelism lives in [`par`]:
-//! deterministic fork-join fan-outs whose merged output is byte-identical to
-//! the sequential loop they replace, used by the routing layer's flood-plane
-//! recomputation. The event plane itself stays single-threaded.
+//! Each run is single-threaded from end to end. Parallelism lives one level
+//! up, across independent replicas: the experiment harness's `run_many`
+//! runs whole simulations on separate threads, each with its own state.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,7 +31,6 @@
 pub mod engine;
 pub mod event;
 pub mod ident;
-pub mod par;
 pub mod rng;
 pub mod stats;
 pub mod time;
