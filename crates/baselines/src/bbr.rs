@@ -22,12 +22,17 @@
 //! mask RTprop for 10 s), no randomized ProbeBw entry offset (the cycle
 //! always starts at the probe gain — determinism beats phase
 //! desynchronization here), and loss does not modulate the rate at all —
-//! reliability rides the same SACK scoreboard + RTO as `tcp.rs`, but the
-//! path model alone sets the pace.
+//! reliability rides the shared [`SackScoreboard`] + RTO, but the path
+//! model alone sets the pace.
+//!
+//! `BtlBw` is a monotonic deque, like Linux BBR's `win_minmax` (after
+//! Nichols): a sample no larger than a newer one leaves the window first,
+//! so it can never be the max again; it is dropped and the front is the max.
 
+use crate::sack::SackScoreboard;
 use jtp::packet::{compress_ranges, SeqRange};
 use jtp_sim::{FlowId, SimDuration, SimTime};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 /// Startup/Drain gain: 2/ln(2).
 pub const STARTUP_GAIN: f64 = 2.885;
@@ -138,7 +143,7 @@ pub struct BbrSenderStats {
 }
 
 /// Per-segment bookkeeping for delivery-rate sampling.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct SentState {
     sent_at: SimTime,
     delivered_at_send: u64,
@@ -151,14 +156,12 @@ pub struct BbrSender {
     cfg: BbrConfig,
     total: u32,
     next_seq: u32,
-    cum_ack: u32,
-    outstanding: BTreeMap<u32, SentState>,
-    sacked: BTreeSet<u32>,
-    rtx_queue: VecDeque<u32>,
+    board: SackScoreboard<SentState>,
     // --- path model ---
     /// Total packets known delivered (cum + SACK).
     delivered: u64,
-    /// (round, bw_pps) samples for the windowed-max bandwidth filter.
+    /// (round, bw_pps) samples for the windowed-max bandwidth filter,
+    /// strictly decreasing in bandwidth from the front.
     bw_samples: VecDeque<(u64, f64)>,
     min_rtt_s: f64,
     min_rtt_stamp: SimTime,
@@ -188,10 +191,7 @@ impl BbrSender {
             flow,
             total,
             next_seq: 0,
-            cum_ack: 0,
-            outstanding: BTreeMap::new(),
-            sacked: BTreeSet::new(),
-            rtx_queue: VecDeque::new(),
+            board: SackScoreboard::default(),
             delivered: 0,
             bw_samples: VecDeque::new(),
             min_rtt_s: rtt,
@@ -238,10 +238,7 @@ impl BbrSender {
 
     /// Windowed-max bottleneck bandwidth estimate (pps); 0 before samples.
     pub fn max_bw_pps(&self) -> f64 {
-        self.bw_samples
-            .iter()
-            .map(|&(_, bw)| bw)
-            .fold(0.0, f64::max)
+        self.bw_samples.front().map_or(0.0, |&(_, bw)| bw)
     }
 
     /// Windowed-min round-trip estimate (RTprop) in seconds.
@@ -261,15 +258,12 @@ impl BbrSender {
 
     /// Packets currently outstanding and not SACKed.
     pub fn inflight(&self) -> u64 {
-        self.outstanding
-            .keys()
-            .filter(|s| !self.sacked.contains(s))
-            .count() as u64
+        self.board.inflight()
     }
 
     /// Everything delivered?
     pub fn is_complete(&self) -> bool {
-        self.cum_ack >= self.total
+        self.board.cum_ack() >= self.total
     }
 
     /// Counter snapshot.
@@ -284,15 +278,11 @@ impl BbrSender {
     }
 
     fn arm_rto(&mut self, now: SimTime) {
-        self.rto_deadline = if self.outstanding.is_empty() {
-            None
-        } else {
-            Some(now + self.rto())
-        };
+        self.rto_deadline = self.board.has_outstanding().then(|| now + self.rto());
     }
 
     fn has_backlog(&self) -> bool {
-        !self.rtx_queue.is_empty() || self.next_seq < self.total
+        self.board.has_queued() || self.next_seq < self.total
     }
 
     /// Emit at most one segment if pacing allows and inflight is under the
@@ -303,27 +293,18 @@ impl BbrSender {
             return None;
         }
         let gap = SimDuration::from_secs_f64(1.0 / self.rate_pps.max(self.cfg.min_rate_pps));
-        let seq = loop {
-            match self.rtx_queue.pop_front() {
-                Some(s) if s >= self.cum_ack && !self.sacked.contains(&s) => {
-                    self.stats.retransmissions += 1;
-                    break Some(s);
-                }
-                Some(_) => continue, // stale entry
-                None => break None,
-            }
-        }
-        .or_else(|| {
-            if self.next_seq < self.total && (self.inflight() as f64) < self.cwnd_packets() {
-                let s = self.next_seq;
-                self.next_seq += 1;
-                self.stats.fresh_sent += 1;
-                Some(s)
-            } else {
-                None
-            }
-        })?;
-        self.outstanding.insert(
+        let seq = if let Some(s) = self.board.pop_retransmission() {
+            self.stats.retransmissions += 1;
+            s
+        } else if self.next_seq < self.total && (self.inflight() as f64) < self.cwnd_packets() {
+            let s = self.next_seq;
+            self.next_seq += 1;
+            self.stats.fresh_sent += 1;
+            s
+        } else {
+            return None;
+        };
+        self.board.on_send(
             seq,
             SentState {
                 sent_at: now,
@@ -342,10 +323,13 @@ impl BbrSender {
         })
     }
 
-    /// Next instant the sender wants attention. When the inflight cap (not
-    /// pacing) is the binding constraint, the ACK that frees a slot drives
-    /// progress; the RTO deadline is the backstop so a fully lost window
-    /// can never stall the flow.
+    /// Next instant the sender wants attention: the pacing instant whenever
+    /// anything is left to send, else the RTO deadline. The pacing instant
+    /// is reported even when the inflight cap (not pacing) blocks the next
+    /// fresh segment; it then lies in the past, so a cap-limited sender is
+    /// polled at the caller's minimum re-arm interval (1 ms in the network
+    /// assembly) until an ACK frees a slot. The RTO deadline is the
+    /// backstop so a fully lost window can never stall the flow.
     pub fn next_wakeup(&self) -> Option<SimTime> {
         let pacing = self.has_backlog().then_some(self.next_send);
         match (pacing, self.rto_deadline) {
@@ -355,6 +339,9 @@ impl BbrSender {
     }
 
     fn record_bw_sample(&mut self, bw_pps: f64) {
+        while self.bw_samples.back().is_some_and(|&(_, bw)| bw <= bw_pps) {
+            self.bw_samples.pop_back();
+        }
         self.bw_samples.push_back((self.round, bw_pps));
         let horizon = self.round.saturating_sub(self.cfg.bw_window_rounds);
         while let Some(&(r, _)) = self.bw_samples.front() {
@@ -426,59 +413,22 @@ impl BbrSender {
 
         // Free newly delivered segments, taking one delivery-rate sample
         // per freed segment: packets delivered since it was sent over the
-        // time since it was sent.
-        let mut freed: Vec<(u32, SentState)> = Vec::new();
-        if ack.cum_ack > self.cum_ack {
-            for (&s, &st) in self.outstanding.range(..ack.cum_ack) {
-                freed.push((s, st));
-            }
-            for &(s, _) in &freed {
-                self.outstanding.remove(&s);
-            }
-            self.sacked = self.sacked.split_off(&ack.cum_ack);
-            self.cum_ack = ack.cum_ack;
+        // time since it was sent. The scoreboard's SACK loss inference
+        // queues retransmissions but leaves the path model untouched.
+        let out = self.board.on_ack(ack.cum_ack, &ack.sack);
+        if out.advanced {
             self.rto_backoff = 0;
         }
-        let mut highest_sacked = None;
-        for r in &ack.sack {
-            for s in r.iter() {
-                if s >= self.cum_ack && self.sacked.insert(s) {
-                    if let Some(&st) = self.outstanding.get(&s) {
-                        freed.push((s, st));
-                    }
-                }
-                highest_sacked = Some(highest_sacked.map_or(s, |h: u32| h.max(s)));
-            }
-        }
-        self.delivered += freed.len() as u64;
-        for &(_, st) in &freed {
+        self.delivered += out.freed.len() as u64;
+        for st in &out.freed {
             let dt = now.since(st.sent_at).as_secs_f64();
             if dt > 0.0 {
                 let bw = (self.delivered - st.delivered_at_send) as f64 / dt;
                 self.record_bw_sample(bw);
             }
         }
-        if ack.cum_ack > self.round_end_seq || self.cum_ack >= self.total {
+        if ack.cum_ack > self.round_end_seq || self.board.cum_ack() >= self.total {
             self.on_round_end();
-        }
-
-        // SACK loss inference with DUPTHRESH (RFC 6675), as in `tcp.rs` —
-        // queues the retransmission but leaves the path model untouched.
-        const DUPTHRESH: usize = 3;
-        if highest_sacked.is_some() {
-            let lost: Vec<u32> = self
-                .outstanding
-                .keys()
-                .copied()
-                .filter(|s| {
-                    !self.sacked.contains(s) && self.sacked.range((s + 1)..).count() >= DUPTHRESH
-                })
-                .collect();
-            for s in lost {
-                if !self.rtx_queue.contains(&s) {
-                    self.rtx_queue.push_back(s);
-                }
-            }
         }
 
         self.advance_phase(now);
@@ -507,10 +457,7 @@ impl BbrSender {
         if now < deadline {
             return;
         }
-        if let Some((&seq, _)) = self.outstanding.iter().next() {
-            if !self.rtx_queue.contains(&seq) {
-                self.rtx_queue.push_front(seq);
-            }
+        if self.board.on_rto() {
             self.stats.timeouts += 1;
             self.rto_backoff += 1;
             self.next_send = now; // retransmit immediately
@@ -646,6 +593,52 @@ mod tests {
         s.round += s.cfg.bw_window_rounds + 1;
         s.record_bw_sample(3.0);
         assert!((s.max_bw_pps() - 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn bw_filter_matches_naive_windowed_fold() {
+        use jtp_sim::SimRng;
+        for case in 0..200u64 {
+            let mut rng = SimRng::derive_indexed(0xb7b, "bbr-bw-filter", case);
+            let mut s = sender(100);
+            let window = s.cfg.bw_window_rounds;
+            // Every sample, trimmed by round exactly as the filter trims.
+            let mut naive: VecDeque<(u64, f64)> = VecDeque::new();
+            for step in 0..400 {
+                s.round += match rng.below(10) {
+                    0..=5 => 0,
+                    6..=8 => 1,
+                    _ => window + 1 + rng.below(2 * window as usize) as u64,
+                };
+                // A few distinct levels, so equal bandwidths are common.
+                let bw = if rng.chance(0.7) {
+                    rng.below(6) as f64 * 2.5
+                } else {
+                    rng.uniform(0.0, 20.0)
+                };
+                s.record_bw_sample(bw);
+                naive.push_back((s.round, bw));
+                let horizon = s.round.saturating_sub(window);
+                while naive.front().is_some_and(|&(r, _)| r < horizon) {
+                    naive.pop_front();
+                }
+                let expect = naive.iter().map(|&(_, b)| b).fold(0.0, f64::max);
+                assert_eq!(
+                    s.max_bw_pps().to_bits(),
+                    expect.to_bits(),
+                    "case {case} step {step}"
+                );
+                // Only samples that can still become the max are kept.
+                assert!(
+                    s.bw_samples
+                        .iter()
+                        .zip(s.bw_samples.iter().skip(1))
+                        .all(|(a, b)| a.1 > b.1),
+                    "case {case} step {step}: {:?}",
+                    s.bw_samples
+                );
+            }
+        }
     }
 
     #[test]

@@ -18,12 +18,13 @@
 //! burst dynamics are deliberately out of model (as are HyStart and
 //! window scaling by receive buffer).
 //!
-//! Reliability is the same SACK scoreboard as `tcp.rs`: DUPTHRESH
-//! inference plus an RTO with exponential back-off.
+//! Reliability is the shared [`SackScoreboard`]: DUPTHRESH inference plus
+//! an RTO with exponential back-off.
 
+use crate::sack::SackScoreboard;
 use jtp::packet::{compress_ranges, SeqRange};
 use jtp_sim::{FlowId, SimDuration, SimTime};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 
 /// CUBIC baseline configuration.
 #[derive(Clone, Debug)]
@@ -138,10 +139,7 @@ pub struct CubicSender {
     cfg: CubicConfig,
     total: u32,
     next_seq: u32,
-    cum_ack: u32,
-    outstanding: BTreeMap<u32, SimTime>,
-    sacked: BTreeSet<u32>,
-    rtx_queue: VecDeque<u32>,
+    board: SackScoreboard<SimTime>,
     srtt_s: f64,
     rttvar_s: f64,
     have_rtt: bool,
@@ -169,10 +167,7 @@ impl CubicSender {
             flow,
             total,
             next_seq: 0,
-            cum_ack: 0,
-            outstanding: BTreeMap::new(),
-            sacked: BTreeSet::new(),
-            rtx_queue: VecDeque::new(),
+            board: SackScoreboard::default(),
             srtt_s: srtt,
             rttvar_s: srtt / 2.0,
             have_rtt: false,
@@ -236,7 +231,7 @@ impl CubicSender {
 
     /// Everything delivered?
     pub fn is_complete(&self) -> bool {
-        self.cum_ack >= self.total
+        self.board.cum_ack() >= self.total
     }
 
     /// Counter snapshot.
@@ -252,15 +247,11 @@ impl CubicSender {
     }
 
     fn arm_rto(&mut self, now: SimTime) {
-        self.rto_deadline = if self.outstanding.is_empty() {
-            None
-        } else {
-            Some(now + self.rto())
-        };
+        self.rto_deadline = self.board.has_outstanding().then(|| now + self.rto());
     }
 
     fn has_backlog(&self) -> bool {
-        !self.rtx_queue.is_empty() || self.next_seq < self.total
+        self.board.has_queued() || self.next_seq < self.total
     }
 
     /// Emit at most one segment if pacing allows.
@@ -269,25 +260,18 @@ impl CubicSender {
             return None;
         }
         let gap = SimDuration::from_secs_f64(1.0 / self.rate_pps.max(self.cfg.min_rate_pps));
-        let seq = loop {
-            match self.rtx_queue.pop_front() {
-                Some(s) if s >= self.cum_ack && !self.sacked.contains(&s) => {
-                    self.stats.retransmissions += 1;
-                    break Some(s);
-                }
-                Some(_) => continue, // stale entry
-                None => break None,
-            }
-        }
-        .or_else(|| {
-            (self.next_seq < self.total).then(|| {
-                let s = self.next_seq;
-                self.next_seq += 1;
-                self.stats.fresh_sent += 1;
-                s
-            })
-        })?;
-        self.outstanding.insert(seq, now);
+        let seq = if let Some(s) = self.board.pop_retransmission() {
+            self.stats.retransmissions += 1;
+            s
+        } else if self.next_seq < self.total {
+            let s = self.next_seq;
+            self.next_seq += 1;
+            self.stats.fresh_sent += 1;
+            s
+        } else {
+            return None;
+        };
+        self.board.on_send(seq, now);
         if self.rto_deadline.is_none() {
             self.arm_rto(now);
         }
@@ -387,54 +371,14 @@ impl CubicSender {
             }
         }
 
-        let mut newly_delivered = 0u64;
-        if ack.cum_ack > self.cum_ack {
-            let freed: Vec<u32> = self
-                .outstanding
-                .range(..ack.cum_ack)
-                .map(|(&s, _)| s)
-                .collect();
-            newly_delivered += freed.len() as u64;
-            for s in freed {
-                self.outstanding.remove(&s);
-            }
-            self.sacked = self.sacked.split_off(&ack.cum_ack);
-            self.cum_ack = ack.cum_ack;
+        let out = self.board.on_ack(ack.cum_ack, &ack.sack);
+        if out.advanced {
             self.rto_backoff = 0;
         }
-        let mut highest_sacked = None;
-        for r in &ack.sack {
-            for s in r.iter() {
-                if s >= self.cum_ack && self.sacked.insert(s) {
-                    newly_delivered += 1;
-                }
-                highest_sacked = Some(highest_sacked.map_or(s, |h: u32| h.max(s)));
-            }
-        }
-
-        // SACK loss inference with DUPTHRESH (RFC 6675), as in `tcp.rs`.
-        const DUPTHRESH: usize = 3;
-        let mut new_loss = false;
-        if highest_sacked.is_some() {
-            let lost: Vec<u32> = self
-                .outstanding
-                .keys()
-                .copied()
-                .filter(|s| {
-                    !self.sacked.contains(s) && self.sacked.range((s + 1)..).count() >= DUPTHRESH
-                })
-                .collect();
-            for s in lost {
-                if !self.rtx_queue.contains(&s) {
-                    self.rtx_queue.push_back(s);
-                    new_loss = true;
-                }
-            }
-        }
-        if new_loss && self.cum_ack >= self.recover {
+        if !out.lost.is_empty() && self.board.cum_ack() >= self.recover {
             self.on_loss_event(false);
         } else {
-            self.grow(now, newly_delivered);
+            self.grow(now, out.delivered);
         }
 
         self.update_rate();
@@ -456,10 +400,7 @@ impl CubicSender {
         if now < deadline {
             return;
         }
-        if let Some((&seq, _)) = self.outstanding.iter().next() {
-            if !self.rtx_queue.contains(&seq) {
-                self.rtx_queue.push_front(seq);
-            }
+        if self.board.on_rto() {
             self.stats.timeouts += 1;
             self.rto_backoff += 1;
             self.on_loss_event(true);

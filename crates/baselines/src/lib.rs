@@ -23,6 +23,10 @@
 //!   path model, Startup→Drain→ProbeBw pacing-gain cycling, inflight
 //!   capped at `cwnd_gain × BDP`; loss does not modulate the rate.
 //!
+//! TCP, CUBIC and BBR share one sender-side SACK scoreboard,
+//! [`sack::SackScoreboard`]: outstanding segments, DUPTHRESH loss
+//! inference (RFC 6675) and the RTO retransmission queue.
+//!
 //! All four support only 100 %-reliability transfers (0 % loss
 //! tolerance), so the cross-protocol experiments use bulk transfers with
 //! full reliability, as in the paper. None uses in-network caching or
@@ -35,6 +39,7 @@
 pub mod atp;
 pub mod bbr;
 pub mod cubic;
+pub mod sack;
 pub mod tcp;
 
 pub use atp::{AtpConfig, AtpFeedback, AtpReceiver, AtpSender};

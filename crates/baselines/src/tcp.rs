@@ -11,16 +11,17 @@
 //!
 //! with `b = 2` (delayed ACKs, one per two packets) and `p` the loss-event
 //! rate the sender measures. Reliability is full: the receiver reports
-//! gaps via SACK blocks; the sender keeps a scoreboard, selectively
+//! gaps via SACK blocks; the sender keeps a [`SackScoreboard`], selectively
 //! retransmits SACK-inferred losses, and falls back to an RTO with
 //! exponential back-off for tail losses. All recovery is end-to-end — this
 //! is exactly what makes TCP pay `H` extra hops of energy per loss in the
 //! paper's analysis.
 
+use crate::sack::SackScoreboard;
 use jtp::packet::{compress_ranges, SeqRange};
 use jtp_sim::stats::Ewma;
 use jtp_sim::{FlowId, SimDuration, SimTime};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 
 /// TCP baseline configuration.
 #[derive(Clone, Debug)]
@@ -118,11 +119,8 @@ pub struct TcpSender {
     cfg: TcpConfig,
     total: u32,
     next_seq: u32,
-    cum_ack: u32,
-    /// Outstanding segments and when they were (last) sent.
-    outstanding: BTreeMap<u32, SimTime>,
-    sacked: BTreeSet<u32>,
-    rtx_queue: VecDeque<u32>,
+    /// Outstanding segments keyed to when they were (last) sent.
+    board: SackScoreboard<SimTime>,
     srtt_s: f64,
     rttvar_s: f64,
     have_rtt: bool,
@@ -142,10 +140,7 @@ impl TcpSender {
             flow,
             total,
             next_seq: 0,
-            cum_ack: 0,
-            outstanding: BTreeMap::new(),
-            sacked: BTreeSet::new(),
-            rtx_queue: VecDeque::new(),
+            board: SackScoreboard::default(),
             srtt_s: srtt,
             rttvar_s: srtt / 2.0,
             have_rtt: false,
@@ -171,7 +166,7 @@ impl TcpSender {
 
     /// Everything delivered?
     pub fn is_complete(&self) -> bool {
-        self.cum_ack >= self.total
+        self.board.cum_ack() >= self.total
     }
 
     /// Counter snapshot.
@@ -187,15 +182,11 @@ impl TcpSender {
     }
 
     fn arm_rto(&mut self, now: SimTime) {
-        self.rto_deadline = if self.outstanding.is_empty() {
-            None
-        } else {
-            Some(now + self.rto())
-        };
+        self.rto_deadline = self.board.has_outstanding().then(|| now + self.rto());
     }
 
     fn has_backlog(&self) -> bool {
-        !self.rtx_queue.is_empty() || self.next_seq < self.total
+        self.board.has_queued() || self.next_seq < self.total
     }
 
     /// Emit at most one segment if pacing allows.
@@ -204,25 +195,18 @@ impl TcpSender {
             return None;
         }
         let gap = SimDuration::from_secs_f64(1.0 / self.rate_pps.max(self.cfg.min_rate_pps));
-        let seq = loop {
-            match self.rtx_queue.pop_front() {
-                Some(s) if s >= self.cum_ack && !self.sacked.contains(&s) => {
-                    self.stats.retransmissions += 1;
-                    break Some(s);
-                }
-                Some(_) => continue, // stale entry
-                None => break None,
-            }
-        }
-        .or_else(|| {
-            (self.next_seq < self.total).then(|| {
-                let s = self.next_seq;
-                self.next_seq += 1;
-                self.stats.fresh_sent += 1;
-                s
-            })
-        })?;
-        self.outstanding.insert(seq, now);
+        let seq = if let Some(s) = self.board.pop_retransmission() {
+            self.stats.retransmissions += 1;
+            s
+        } else if self.next_seq < self.total {
+            let s = self.next_seq;
+            self.next_seq += 1;
+            self.stats.fresh_sent += 1;
+            s
+        } else {
+            return None;
+        };
+        self.board.on_send(seq, now);
         if self.rto_deadline.is_none() {
             self.arm_rto(now);
         }
@@ -264,55 +248,15 @@ impl TcpSender {
             }
         }
 
-        let mut newly_delivered = 0u64;
-        if ack.cum_ack > self.cum_ack {
-            let freed: Vec<u32> = self
-                .outstanding
-                .range(..ack.cum_ack)
-                .map(|(&s, _)| s)
-                .collect();
-            newly_delivered += freed.len() as u64;
-            for s in freed {
-                self.outstanding.remove(&s);
-            }
-            self.sacked = self.sacked.split_off(&ack.cum_ack);
-            self.cum_ack = ack.cum_ack;
+        let out = self.board.on_ack(ack.cum_ack, &ack.sack);
+        if out.advanced {
             self.rto_backoff = 0;
         }
-        let mut highest_sacked = None;
-        for r in &ack.sack {
-            for s in r.iter() {
-                if s >= self.cum_ack && self.sacked.insert(s) {
-                    newly_delivered += 1;
-                }
-                highest_sacked = Some(highest_sacked.map_or(s, |h: u32| h.max(s)));
-            }
-        }
-        for _ in 0..newly_delivered {
+        for _ in 0..out.delivered {
             self.loss.update(0.0);
         }
-
-        // SACK-based loss inference with a duplicate threshold (RFC 6675):
-        // an outstanding segment is presumed lost only once at least
-        // DUPTHRESH higher segments have been SACKed — plain "below the
-        // highest SACK" misfires on mild reordering and floods the path
-        // with spurious retransmissions.
-        const DUPTHRESH: usize = 3;
-        if highest_sacked.is_some() {
-            let lost: Vec<u32> = self
-                .outstanding
-                .keys()
-                .copied()
-                .filter(|s| {
-                    !self.sacked.contains(s) && self.sacked.range((s + 1)..).count() >= DUPTHRESH
-                })
-                .collect();
-            for s in lost {
-                if !self.rtx_queue.contains(&s) {
-                    self.rtx_queue.push_back(s);
-                    self.loss.update(1.0);
-                }
-            }
+        for _ in &out.lost {
+            self.loss.update(1.0);
         }
 
         self.update_rate();
@@ -339,10 +283,7 @@ impl TcpSender {
         if now < deadline {
             return;
         }
-        if let Some((&seq, _)) = self.outstanding.iter().next() {
-            if !self.rtx_queue.contains(&seq) {
-                self.rtx_queue.push_front(seq);
-            }
+        if self.board.on_rto() {
             self.loss.update(1.0);
             self.stats.timeouts += 1;
             self.rto_backoff += 1;
